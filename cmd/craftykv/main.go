@@ -84,6 +84,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"strings"
@@ -563,7 +564,9 @@ func writeLinef(out *bufio.Writer, format string, args ...any) {
 // handle runs one connection: the reader parses and submits requests, the
 // writer goroutine renders each request's response as it completes — in
 // request order, flushing once no further completed response is pending, so
-// a pipelined burst costs one write syscall for the whole batch.
+// a pipelined burst costs one write syscall for the whole batch. The writer
+// sleeps on one reusable wake-up channel for the whole connection (see
+// request.wait), so completing a request allocates nothing.
 //
 // The protocol is auto-detected from the first byte: a binary client leads
 // with the handshake's 0xCF magic (wire.go), which can never begin a text
@@ -581,7 +584,8 @@ func (s *server) handle(conn net.Conn) {
 	// ErrBufferFull once a newline-free line exceeds it, so a misbehaving
 	// client cannot grow one line without limit (binary frames are bounded
 	// by the wire reader's limit instead; same maxFrame).
-	in := bufio.NewReaderSize(conn, maxFrame)
+	src := &stampReader{r: conn}
+	in := bufio.NewReaderSize(src, maxFrame)
 	// The byte counter sits under the bufio.Writer: one add per flush.
 	out := bufio.NewWriter(&countWriter{w: conn, c: s.obs.bytesOut, stripe: stripe})
 
@@ -602,33 +606,24 @@ func (s *server) handle(conn net.Conn) {
 	}
 	// The mode is fixed before the writer goroutine starts (and before any
 	// request can be pushed), so the writer reads it race-free.
-	var enc *wire.Encoder
+	w := &connWriter{srv: s, out: out}
 	if binary {
-		enc = wire.NewEncoder(out)
+		w.enc = wire.NewEncoder(out)
 	}
 
+	sig := make(chan struct{}, 1)
 	pending := make(chan *request, 128)
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
 		var burst int64
-		for req := range pending {
-			<-req.done
-			if binary {
-				renderWire(enc, req)
-			} else {
-				render(out, req)
+		for {
+			req, ok := w.next(pending)
+			if !ok {
+				break
 			}
-			// Enqueue→reply latency for scheduler-routed requests, stamped
-			// strictly outside any transaction (t0 at parse time, here after
-			// the response rendered). Inline replies never hit the scheduler.
-			if req.cmd != cmdInline {
-				s.obs.opLatency.ObserveSince(req.t0)
-			}
-			if req.notify != nil {
-				close(req.notify)
-			}
+			w.reply(req)
 			burst++
 			if len(pending) == 0 {
 				s.obs.bursts.Observe(burst)
@@ -641,7 +636,7 @@ func (s *server) handle(conn net.Conn) {
 					// The connection is gone; keep draining so the reader
 					// never blocks on a full pending queue.
 					for req := range pending {
-						<-req.done
+						req.wait()
 						if req.notify != nil {
 							close(req.notify)
 						}
@@ -655,7 +650,7 @@ func (s *server) handle(conn net.Conn) {
 		out.Flush()
 	}()
 
-	c := &connReader{srv: s, pending: pending, stripe: stripe}
+	c := &connReader{srv: s, pending: pending, sig: sig, src: src, stripe: stripe}
 	if binary {
 		hello := newRequest(cmdHello)
 		hello.n = uint64(version)
@@ -715,21 +710,98 @@ func trimLine(raw []byte) []byte {
 	return raw
 }
 
+// connWriter is one connection's render state, owned by its writer
+// goroutine.
+type connWriter struct {
+	srv *server
+	out *bufio.Writer
+	enc *wire.Encoder // nil for the text protocol
+
+	// now is the writer's clock, read once per wake-up — from an idle
+	// pending queue or from a completion kick — rather than once per
+	// request: every reply rendered between two wake-ups is written at
+	// about the same moment.
+	now time.Time
+}
+
+// next takes the next request in connection order, reading the clock only
+// when the queue was empty and the writer had to sleep.
+func (w *connWriter) next(pending chan *request) (*request, bool) {
+	select {
+	case req, ok := <-pending:
+		return req, ok
+	default:
+	}
+	req, ok := <-pending
+	w.now = time.Now()
+	return req, ok
+}
+
+// reply waits for req to complete, renders its response, records its
+// latency, and releases a waitPrior barrier riding on it.
+func (w *connWriter) reply(req *request) {
+	if req.remaining.Load() != 0 {
+		req.wait()
+		w.now = time.Now()
+	}
+	if w.enc != nil {
+		renderWire(w.enc, req)
+	} else {
+		render(w.out, req)
+	}
+	// Arrival→reply latency for scheduler-routed requests, stamped strictly
+	// outside any transaction: t0 when the request's bytes came off the
+	// socket, now at the wake-up after which its reply was written. A request
+	// read after the last wake-up refreshes the clock, so no sample is
+	// negative. Inline replies never hit the scheduler.
+	if req.cmd != cmdInline {
+		if req.t0.After(w.now) {
+			w.now = time.Now()
+		}
+		w.srv.obs.opLatency.Observe(int64(w.now.Sub(req.t0)))
+	}
+	if req.notify != nil {
+		close(req.notify)
+	}
+}
+
 // connReader is one connection's parse-and-submit state.
 type connReader struct {
 	srv     *server
 	pending chan *request
+	sig     chan struct{} // the writer's wake-up channel
+	src     *stampReader  // arrival stamps of the socket reads
 	stripe  int
 }
 
+// stampReader sits under the connection's bufio.Reader and records when
+// each socket read returned data: one clock read per read, however many
+// requests the read delivered. Only the reader goroutine touches it.
+type stampReader struct {
+	r  io.Reader
+	at time.Time
+}
+
+func (s *stampReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if n > 0 {
+		s.at = time.Now()
+	}
+	return n, err
+}
+
 // push submits a request to the scheduler and appends it to the
-// connection's response queue. Pre-rendered errors (usage mistakes, unknown
-// commands, failed control commands) are counted here — the one spot every
-// error-shaped inline reply passes through.
+// connection's response queue, pointing it at the writer's wake-up channel
+// and stamping it with the arrival time of the read that delivered it.
+// Pre-rendered errors (usage mistakes, unknown commands, failed control
+// commands) are counted here — the one spot every error-shaped inline reply
+// passes through.
 func (c *connReader) push(req *request) {
 	if req.cmd == cmdInline && strings.HasPrefix(req.text, "ERR") {
 		c.srv.obs.cmdErrs.Inc(c.stripe)
 	}
+	req.sig = c.sig
+	req.t0 = c.src.at
 	c.srv.submit(req)
 	c.pending <- req
 }
@@ -742,10 +814,9 @@ func (c *connReader) push(req *request) {
 // all shards (LEN, STATS, CRASH, QUIT) use it; same-key ordering needs no
 // barrier, since a key's operations share one worker queue.
 func (c *connReader) waitPrior() {
-	marker := inlineRequest("")
+	marker := inlineRequest("") // starts complete: the writer never waits on it
 	marker.notify = make(chan struct{})
 	notify := marker.notify
-	close(marker.done) // bypasses submit: complete it here
 	c.pending <- marker
 	<-notify
 }

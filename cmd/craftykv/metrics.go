@@ -55,9 +55,10 @@ type serverMetrics struct {
 	wireBytes  *obs.Counter
 	wireErrs   *obs.Counter
 
-	// Scheduler: per-op enqueue→reply latency (stamped at parse time and at
-	// render time, both outside any transaction), drained batch sizes, SYNC
-	// barriers and their wall time.
+	// Scheduler: per-op arrival→reply latency (stamped once per socket read
+	// and once per writer wake-up, both outside any transaction; see
+	// connWriter.reply), drained batch sizes, SYNC barriers and their wall
+	// time.
 	opLatency  *obs.Histogram
 	drainBatch *obs.Histogram
 	syncs      *obs.Counter

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"crafty/internal/wire"
@@ -108,7 +109,7 @@ func TestInfoOverTCP(t *testing.T) {
 		"conn.commands",   // wire traffic
 		"conn.bytes_in",
 		"conn.bytes_out",
-		"sched.op_latency_ns.count", // enqueue→reply latency histogram
+		"sched.op_latency_ns.count", // arrival→reply latency histogram
 		"sched.drain_batch.count",   // drained batch size histogram
 		"sched.syncs",
 		"nvm.fences", // persist traffic under the committed writes
@@ -272,5 +273,68 @@ func TestMetricsHTTP(t *testing.T) {
 	}
 	if binInfo["wire.bytes"] <= 0 {
 		t.Errorf("wire.bytes = %d after binary traffic, want > 0", binInfo["wire.bytes"])
+	}
+}
+
+// TestInfoPollDuringWrites polls INFO from one connection while others run
+// PUT traffic, so the sampler reads every worker thread's engine and HTM
+// counters while those workers commit. Under -race this is the check that
+// the counters are safe to read live; in every build the sampled totals
+// must never run backwards.
+func TestInfoPollDuringWrites(t *testing.T) {
+	_, addr := startInstrumented(t)
+	const writers, rounds, depth = 2, 30, 16
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		c := dial(t, addr)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				var b strings.Builder
+				for i := 0; i < depth; i++ {
+					fmt.Fprintf(&b, "PUT w%d-k%d v%d\n", w, (r*depth+i)%97, r)
+				}
+				if _, err := c.conn.Write([]byte(b.String())); err != nil {
+					errs <- err
+					return
+				}
+				for i := 0; i < depth; i++ {
+					line, err := c.r.ReadString('\n')
+					if err != nil || line != "OK\n" {
+						errs <- fmt.Errorf("writer %d: reply %q, %v", w, line, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	poller := dial(t, addr)
+	var last map[string]int64
+	polls := 0
+	for running := true; running; polls++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		m := poller.info(t)
+		for _, name := range []string{"core.txns", "core.writes", "htm.commits", "kv.apply.groups"} {
+			if m[name] < last[name] {
+				t.Fatalf("%s ran backwards: %d after %d", name, m[name], last[name])
+			}
+		}
+		last = m
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if last["core.txns"] == 0 || polls < 2 {
+		t.Fatalf("no traffic observed: core.txns=%d over %d polls", last["core.txns"], polls)
 	}
 }

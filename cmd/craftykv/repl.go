@@ -250,8 +250,8 @@ func (s *server) promote() (string, error) {
 	if r != nil {
 		r.Stop()
 	}
-	// The stopped session may still have an apply request in flight on the
-	// scheduler; the barrier below orders the checkpoint after it.
+	// Stop returns only once the session has, so its last apply (data and
+	// position record) has completed and the position read below is final.
 	seq, gen, err := rs.applier.Position()
 	if err != nil {
 		return "", fmt.Errorf("read position: %w", err)
@@ -319,6 +319,16 @@ type kvApplier struct {
 	sessEpoch atomic.Uint64
 }
 
+// submitWait submits one request and waits for it on a wake-up channel of
+// its own: the applier's callers are not a connection writer, and a
+// channel shared between concurrent callers could hand one caller's kick to
+// another. One small allocation per replicated batch, off the client path.
+func (a *kvApplier) submitWait(req *request) {
+	req.sig = make(chan struct{}, 1)
+	a.s.submit(req)
+	req.wait()
+}
+
 // runOps submits one request carrying ops and waits for it; any per-op
 // error fails the whole call.
 func (a *kvApplier) runOps(build func(req *request)) error {
@@ -328,8 +338,7 @@ func (a *kvApplier) runOps(build func(req *request)) error {
 		requestPool.Put(req)
 		return nil
 	}
-	a.s.submit(req)
-	<-req.done
+	a.submitWait(req)
 	var err error
 	for i := range req.res {
 		if e := req.res[i].err; e != nil {
@@ -521,8 +530,7 @@ func (a *kvApplier) Position() (seq, gen uint64, err error) {
 func (a *kvApplier) runOpsRead(build func(req *request), read func(req *request)) error {
 	req := newRequest(cmdMPut)
 	build(req)
-	a.s.submit(req)
-	<-req.done
+	a.submitWait(req)
 	var err error
 	for i := range req.res {
 		if e := req.res[i].err; e != nil {

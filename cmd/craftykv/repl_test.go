@@ -582,3 +582,89 @@ func TestReplicaSyncConcurrentWithCrash(t *testing.T) {
 		rc.expect(t, fmt.Sprintf("GET settle-%d", i), fmt.Sprintf("VAL s-%d", i))
 	}
 }
+
+// TestPromoteReadsFinalPosition: a PROMOTE that lands while the replica
+// session is in the middle of applying a batch must announce the position
+// that batch records, not the one before it. promote stops the session and
+// then reads the applier's durable position; unless stopping waits for the
+// session to finish, the read races the in-flight apply, the announced seq
+// comes out stale, and the promoted log renumbers groups the store already
+// holds.
+func TestPromoteReadsFinalPosition(t *testing.T) {
+	pCfg := replCfg()
+	pCfg.ReplListen = "auto"
+	p := startReplNode(t, pCfg)
+	rCfg := replCfg()
+	rCfg.ReplicaOf = p.replAddr
+	r := startReplNode(t, rCfg)
+
+	cl, err := kvclient.Dial(p.addr, kvclient.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Put("before", "v"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "replica to catch up", func() bool {
+		rep := r.srv.repl.getReplica()
+		return rep != nil && rep.AppliedSeq() == p.srv.repl.log.LastSeq()
+	})
+	before, _, err := r.srv.repl.applier.Position()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold every replica worker at a quiesced barrier, so the next streamed
+	// batch sits in the worker queues with its apply call waiting on it.
+	parked, hold := make(chan struct{}), make(chan struct{})
+	go r.srv.syncWith(func() error {
+		close(parked)
+		<-hold
+		return nil
+	})
+	<-parked
+	for i := 0; i < 8; i++ {
+		if err := cl.Put(fmt.Sprintf("during-%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, "the streamed batch to reach the replica's queues", func() bool {
+		for _, w := range r.srv.workers {
+			if len(w.queue) > 0 {
+				return true
+			}
+		}
+		return false
+	})
+
+	type result struct {
+		reply string
+		err   error
+	}
+	promoted := make(chan result, 1)
+	go func() {
+		reply, err := r.srv.promote()
+		promoted <- result{reply, err}
+	}()
+	time.Sleep(50 * time.Millisecond) // let promote reach its position read
+	close(hold)
+	res := <-promoted
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	var gen, seq uint64
+	if _, err := fmt.Sscanf(res.reply, "OK gen=%d seq=%d", &gen, &seq); err != nil {
+		t.Fatalf("promote reply %q", res.reply)
+	}
+	final, _, err := r.srv.repl.applier.Position()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final <= before {
+		t.Fatalf("the held batch never applied: position %d, was %d", final, before)
+	}
+	if seq != final {
+		t.Fatalf("PROMOTE announced seq=%d, but the store's recorded position is %d (stale read)", seq, final)
+	}
+}

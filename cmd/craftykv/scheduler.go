@@ -45,8 +45,14 @@ type opResult struct {
 }
 
 // request is one wire command in flight: its parsed operations, their
-// results, and the completion signal the connection's writer waits on.
-// Requests are pooled; all slices are reused across requests.
+// results, and the count of operations still in flight. Requests are pooled;
+// all slices are reused across requests.
+//
+// Completion allocates nothing: instead of a channel per request, the last
+// worker to finish one of the request's operations kicks sig, the waiting
+// side's reusable wake-up channel (capacity 1; one per connection, or one
+// per replication apply), and the waiter re-checks remaining after every
+// kick (see wait).
 type request struct {
 	cmd  cmdKind
 	text string // cmdInline rendering
@@ -58,10 +64,12 @@ type request struct {
 	n         uint64 // cmdLen result
 	err       error  // request-level failure (cmdLen)
 	remaining atomic.Int32
-	done      chan struct{}
+	sig       chan struct{}
 
-	// t0 is the parse-time stamp for the enqueue→reply latency histogram,
-	// taken and read strictly outside any transaction.
+	// t0 is when the socket read that delivered this request's bytes
+	// returned (one clock read per read, shared by every request parsed from
+	// it), for the arrival→reply latency histogram. Stamped and read strictly
+	// outside any transaction; zero for requests that no client sent.
 	t0 time.Time
 
 	// notify, when non-nil, is closed by the connection writer once this
@@ -83,16 +91,16 @@ func newRequest(cmd cmdKind) *request {
 	r.n = 0
 	r.err = nil
 	r.remaining.Store(0)
-	r.done = make(chan struct{})
+	r.sig = nil
 	r.notify = nil
-	r.t0 = time.Now()
+	r.t0 = time.Time{}
 	return r
 }
 
 // inlineRequest is a request carrying fixed response text and no scheduler
 // work; it rides the connection's pending queue so immediate replies stay
-// ordered with in-flight operations. submit completes it (push hands every
-// request to submit; callers bypassing push must close done themselves).
+// ordered with in-flight operations. Like every request without keyed
+// operations it starts complete (remaining = 0).
 func inlineRequest(text string) *request {
 	r := newRequest(cmdInline)
 	r.text = text
@@ -211,10 +219,10 @@ func (s *server) enqueue(req *request, op int) {
 }
 
 // submit enqueues every operation of req; requests with no keyed operations
-// complete immediately.
+// are already complete. req.sig must be set before submit: a worker may
+// complete the request before submit returns.
 func (s *server) submit(req *request) {
 	if len(req.ops) == 0 && req.cmd != cmdLen {
-		close(req.done)
 		return
 	}
 	if req.cmd == cmdLen {
@@ -386,11 +394,26 @@ func (w *worker) tap(items []task, res []crafty.KVOpResult) {
 	}
 }
 
-// complete marks one operation done, closing the request's done channel when
-// it was the last.
+// complete marks one operation done and kicks the waiter when it was the
+// last. sig is read before the decrement: once the count reaches zero the
+// waiter may pool the request and a new owner may repoint sig. The send never
+// blocks; if the buffer is already full, a kick is pending and the waiter will
+// re-check remaining anyway, so this completion cannot be lost.
 func (r *request) complete() {
+	sig := r.sig
 	if r.remaining.Add(-1) == 0 {
-		close(r.done)
+		select {
+		case sig <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// wait blocks until every operation of r has completed. A kick left over
+// from another request sharing sig only costs one extra check.
+func (r *request) wait() {
+	for r.remaining.Load() != 0 {
+		<-r.sig
 	}
 }
 

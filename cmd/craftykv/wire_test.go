@@ -276,11 +276,10 @@ func TestWireDesyncCloses(t *testing.T) {
 	}
 }
 
-// TestDispatchTokenizerAllocs pins the text hot path's per-request
-// allocation count: tokenizing a line and building its ops into a warmed
-// pooled request allocates nothing (the request's done channel, made in
-// newRequest, is the one remaining per-request allocation and is excluded by
-// reusing the request here).
+// TestDispatchTokenizerAllocs pins the text tokenizer at zero allocations:
+// splitting a multi-op line and building its ops into a warmed request
+// allocates nothing. TestRequestPathAllocs pins the whole request path,
+// completion and render included.
 func TestDispatchTokenizerAllocs(t *testing.T) {
 	line := []byte("MPUT key1 value1 key2 value2 key3 value3 key4 value4")
 	req := &request{}

@@ -105,8 +105,8 @@ func (t *Thread) runSGL(body func(tx ptm.Tx) error, lockHeld bool) error {
 	if t.txAlloc != nil {
 		t.txAlloc.Commit()
 	}
-	t.outcomes[ptm.OutcomeSGL]++
-	t.writes += uint64(writes)
+	bump(&t.outcomes[ptm.OutcomeSGL], 1)
+	bump(&t.writes, uint64(writes))
 	t.lastCommittedTS.Store(commitTS)
 	t.checkLag(commitTS)
 	return nil
@@ -135,8 +135,8 @@ func (t *Thread) atomicThreadUnsafe(body func(tx ptm.Tx) error) error {
 	if t.txAlloc != nil {
 		t.txAlloc.Commit()
 	}
-	t.outcomes[ptm.OutcomeSGL]++
-	t.writes += uint64(writes)
+	bump(&t.outcomes[ptm.OutcomeSGL], 1)
+	bump(&t.writes, uint64(writes))
 	t.lastCommittedTS.Store(commitTS)
 	t.checkLag(commitTS)
 	return nil

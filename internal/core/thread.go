@@ -96,19 +96,30 @@ type Thread struct {
 	// to unblock each other.
 	appending atomic.Bool
 
-	// Statistics.
-	outcomes   [ptm.NumOutcomes]uint64
-	writes     uint64
-	userAborts uint64
+	// Statistics: single-writer counters. Only the owning goroutine
+	// updates them (with bump, never inside a transaction body), while
+	// Engine.Stats may read them from any goroutine — a metrics sampler
+	// polling a live server — so they are atomics, read with Load.
+	outcomes   [ptm.NumOutcomes]atomic.Uint64
+	writes     atomic.Uint64
+	userAborts atomic.Uint64
 }
 
-// Stats implements ptm.Thread.
+// bump adds n to a single-writer counter. The owner is the only writer, so
+// a load and a store suffice (no atomic add), and concurrent readers still
+// see whole values.
+func bump(c *atomic.Uint64, n uint64) { c.Store(c.Load() + n) }
+
+// Stats implements ptm.Thread. It is safe to call while the owner runs
+// transactions; the counters are read one by one, not as one snapshot.
 func (t *Thread) Stats() ptm.Stats {
 	var s ptm.Stats
-	copy(s.Persistent[:], t.outcomes[:])
+	for i := range t.outcomes {
+		s.Persistent[i] = t.outcomes[i].Load()
+	}
 	s.HTM = t.hw.Stats()
-	s.Writes = t.writes
-	s.UserAborts = t.userAborts
+	s.Writes = t.writes.Load()
+	s.UserAborts = t.userAborts.Load()
 	return s
 }
 
@@ -388,10 +399,10 @@ func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) (err error) {
 		// observe a stable snapshot.
 		t.ro = roTx{heap: t.eng.heap}
 		if berr := body(&t.ro); berr != nil {
-			t.userAborts++
+			bump(&t.userAborts, 1)
 			return fmt.Errorf("%w: %w", ptm.ErrAborted, berr)
 		}
-		t.outcomes[ptm.OutcomeReadOnly]++
+		bump(&t.outcomes[ptm.OutcomeReadOnly], 1)
 		return nil
 	}
 
@@ -412,11 +423,11 @@ func (t *Thread) AtomicRead(body func(tx ptm.Tx) error) (err error) {
 			}
 		})
 		if a.userErr != nil {
-			t.userAborts++
+			bump(&t.userAborts, 1)
 			return fmt.Errorf("%w: %w", ptm.ErrAborted, a.userErr)
 		}
 		if cause == htm.CauseNone {
-			t.outcomes[ptm.OutcomeReadOnly]++
+			bump(&t.outcomes[ptm.OutcomeReadOnly], 1)
 			return nil
 		}
 		if a.sglBusy {
@@ -441,10 +452,10 @@ func (t *Thread) readSGL(body func(tx ptm.Tx) error) error {
 	defer t.eng.hw.NonTxStore(t.eng.sglAddr, 0)
 	t.ro = roTx{heap: t.eng.heap}
 	if err := body(&t.ro); err != nil {
-		t.userAborts++
+		bump(&t.userAborts, 1)
 		return fmt.Errorf("%w: %w", ptm.ErrAborted, err)
 	}
-	t.outcomes[ptm.OutcomeSGL]++
+	bump(&t.outcomes[ptm.OutcomeSGL], 1)
 	return nil
 }
 
@@ -464,7 +475,7 @@ func (t *Thread) abandon(userErr error) error {
 	if t.txAlloc != nil {
 		t.txAlloc.Abort()
 	}
-	t.userAborts++
+	bump(&t.userAborts, 1)
 	return fmt.Errorf("%w: %w", ptm.ErrAborted, userErr)
 }
 
@@ -484,8 +495,8 @@ func (t *Thread) finishCommit(outcome ptm.Outcome, a *attempt) {
 	if t.txAlloc != nil {
 		t.txAlloc.Commit()
 	}
-	t.outcomes[outcome]++
-	t.writes += uint64(a.writes)
+	bump(&t.outcomes[outcome], 1)
+	bump(&t.writes, uint64(a.writes))
 	if a.commitTS != 0 {
 		t.lastCommittedTS.Store(a.commitTS)
 	} else if a.lastTS != 0 {

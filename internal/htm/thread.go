@@ -43,6 +43,8 @@ type Thread struct {
 	rng     *rand.Rand
 	flusher *nvm.Flusher
 
+	// Outcome counters: written only by the owning goroutine (with bump,
+	// after the attempt has ended), read by Stats from any goroutine.
 	commits        atomic.Uint64
 	readOnly       atomic.Uint64
 	aborts         [NumCauses]atomic.Uint64
@@ -96,6 +98,11 @@ func (t *Thread) Stats() Stats {
 	return s
 }
 
+// bump increments a single-writer counter. The owner is the only writer, so
+// a load and a store suffice (no atomic add), and concurrent Stats readers
+// still see whole values.
+func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
+
 // htmAbort is the panic payload used to unwind an aborted transaction.
 type htmAbort struct {
 	cause AbortCause
@@ -125,7 +132,7 @@ func (t *Thread) Run(body func(tx *Tx)) (cause AbortCause) {
 				panic(r) // programming error inside the body; do not swallow
 			}
 			cause = ab.cause
-			t.aborts[ab.cause].Add(1)
+			bump(&t.aborts[ab.cause])
 		}
 	}()
 
@@ -137,9 +144,9 @@ func (t *Thread) Run(body func(tx *Tx)) (cause AbortCause) {
 
 	body(tx)
 	tx.commit()
-	t.commits.Add(1)
+	bump(&t.commits)
 	if tx.writes.size() == 0 && len(tx.deferred) == 0 {
-		t.readOnly.Add(1)
+		bump(&t.readOnly)
 	}
 	return CauseNone
 }

@@ -515,3 +515,33 @@ func TestApplyAllocFree(t *testing.T) {
 		t.Fatalf("Apply hot path allocates %v times per batch, want 0", allocs)
 	}
 }
+
+// TestGetAllocFree pins Store.Get at zero allocations with a reused
+// destination buffer, hit or miss: its body is pooled and pre-bound like
+// Put's, so no closure escapes per lookup.
+func TestGetAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s, _, th := applyStore(t, Config{Shards: 4, InitialSlotsPerShard: 256}, core.Config{})
+	key, missing := []byte("present"), []byte("absent")
+	if err := s.Put(th, key, []byte("value-0123456789abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	var dst []byte
+	get := func() {
+		var ok bool
+		var err error
+		dst, ok, err = s.Get(th, key, dst[:0])
+		if err != nil || !ok || string(dst) != "value-0123456789abcdef" {
+			t.Fatalf("Get = %q/%v/%v", dst, ok, err)
+		}
+		if _, ok, err = s.Get(th, missing, dst[:0]); err != nil || ok {
+			t.Fatalf("Get(missing) = %v/%v", ok, err)
+		}
+	}
+	get()
+	if allocs := testing.AllocsPerRun(200, get); allocs != 0 {
+		t.Fatalf("Get allocates %v times per hit+miss pair, want 0", allocs)
+	}
+}

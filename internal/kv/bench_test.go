@@ -53,8 +53,9 @@ func BenchmarkKVGetViaAtomic(b *testing.B) {
 }
 
 // BenchmarkKVGet measures Store.Get, which runs on the read-only fast path
-// (AtomicRead): with a reused destination buffer the steady state allocates
-// nothing.
+// (AtomicRead): with a reused destination buffer and Get's pooled,
+// pre-bound body the steady state allocates nothing (TestGetAllocFree pins
+// it).
 func BenchmarkKVGet(b *testing.B) {
 	s, th := benchStore(b, 1024)
 	key := []byte("user512")

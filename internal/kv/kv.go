@@ -607,15 +607,11 @@ func (s *Store) scanTable(tx ptm.Tx, table nvm.Addr, slots uint64, h uint64, n, 
 // appending the value to dst (pass nil to allocate). The returned slice
 // aliases dst's storage.
 func (s *Store) Get(th ptm.Thread, key, dst []byte) ([]byte, bool, error) {
-	var (
-		out []byte
-		ok  bool
-	)
-	err := th.AtomicRead(func(tx ptm.Tx) error {
-		// Reset on entry: engines may re-execute the body.
-		out, ok = s.GetTx(tx, key, dst[:0])
-		return nil
-	})
+	c := opCallPool.Get().(*opCall)
+	c.s, c.key, c.value, c.found = s, key, dst, false
+	err := th.AtomicRead(c.get)
+	out, ok := c.value, c.found
+	c.release()
 	return out, ok, err
 }
 
@@ -694,11 +690,11 @@ func (s *Store) MultiGet(th ptm.Thread, keys [][]byte, dst []byte, vals [][]byte
 	return dst, vals, nil
 }
 
-// opCall carries one Put/Delete invocation's arguments and results through
-// the transaction body. The structs are pooled and the bodies bound once at
-// pool time: a closure capturing the staged rehash mask by reference would
-// cost two heap allocations per op (the closure plus the boxed mask), and
-// these wrappers are the per-op hot path.
+// opCall carries one Put/Delete/Get invocation's arguments and results
+// through the transaction body. The structs are pooled and the bodies bound
+// once at pool time: a closure capturing the staged rehash mask by reference
+// would cost two heap allocations per op (the closure plus the boxed mask),
+// and these wrappers are the per-op hot path.
 type opCall struct {
 	s          *Store
 	key, value []byte
@@ -706,12 +702,14 @@ type opCall struct {
 	found      bool
 	put        func(ptm.Tx) error
 	del        func(ptm.Tx) error
+	get        func(ptm.Tx) error
 }
 
 var opCallPool = sync.Pool{New: func() any {
 	c := new(opCall)
 	c.put = c.runPut
 	c.del = c.runDel
+	c.get = c.runGet
 	return c
 }}
 
@@ -725,6 +723,14 @@ func (c *opCall) runPut(tx ptm.Tx) error {
 
 func (c *opCall) runDel(tx ptm.Tx) error {
 	c.found, c.step = c.s.deleteTxStep(tx, c.key)
+	return nil
+}
+
+// runGet is Get's body; value carries the destination buffer in and the
+// looked-up value out.
+func (c *opCall) runGet(tx ptm.Tx) error {
+	// Reset on entry: engines may re-execute the body.
+	c.value, c.found = c.s.GetTx(tx, c.key, c.value[:0])
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -421,5 +422,92 @@ func TestLogTrimAndCovers(t *testing.T) {
 	}
 	if !l.Covers(5) {
 		t.Fatal("a caught-up replica (pos = LastSeq) must stay covered after Clear")
+	}
+}
+
+// gatedApplier is a memApplier whose ApplyGroups can be held mid-call, and
+// which flags any Applier call that starts after stopped is set.
+type gatedApplier struct {
+	*memApplier
+	entered chan struct{} // receives once per ApplyGroups call
+	release chan struct{} // closed to let held calls finish
+	stopped atomic.Bool
+	late    atomic.Int64
+}
+
+func (g *gatedApplier) ApplyGroups(gs []Group) error {
+	if g.stopped.Load() {
+		g.late.Add(1)
+	}
+	g.entered <- struct{}{}
+	<-g.release
+	return g.memApplier.ApplyGroups(gs)
+}
+
+func (g *gatedApplier) Position() (uint64, uint64, error) {
+	if g.stopped.Load() {
+		g.late.Add(1)
+	}
+	return g.memApplier.Position()
+}
+
+// TestStopJoinsRun: Stop returns only after the session's in-flight apply
+// finished and Run returned, so a position read right after Stop (what a
+// promotion does) already includes that apply, and no Applier call follows.
+func TestStopJoinsRun(t *testing.T) {
+	s := newFakePrimaryState(64)
+	s.put("seed", "v") // a fresh replica starts with a snapshot, then tails
+	_, addr := startPrimary(t, s)
+	g := &gatedApplier{memApplier: newMemApplier(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	r := startReplica(t, addr, g, nil)
+	waitUntil(t, "snapshot applied", func() bool { return g.position() == s.log.LastSeq() })
+
+	want := s.put("in-flight", "v")
+	<-g.entered // the session is now inside ApplyGroups, held
+
+	stopped := make(chan struct{})
+	go func() {
+		r.Stop()
+		g.stopped.Store(true)
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while an apply was still in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(g.release)
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not return after the apply finished")
+	}
+	if pos := g.position(); pos != want {
+		t.Fatalf("position after Stop = %d, want the in-flight apply's %d", pos, want)
+	}
+	if n := g.late.Load(); n != 0 {
+		t.Fatalf("%d Applier calls started after Stop returned", n)
+	}
+}
+
+// TestStopWithoutRun: Stop on a replica whose Run never started returns at
+// once, and a Run after Stop exits without touching the applier.
+func TestStopWithoutRun(t *testing.T) {
+	a := newMemApplier()
+	r := NewReplica(ReplicaConfig{Addr: "127.0.0.1:1", Applier: a})
+	done := make(chan struct{})
+	go func() {
+		r.Stop()
+		r.Stop()
+		r.Run()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop or Run hung on a replica that never ran")
+	}
+	if r.Reconnects() != 0 || r.Connected() {
+		t.Fatal("Run after Stop started a session")
 	}
 }

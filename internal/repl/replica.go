@@ -57,7 +57,9 @@ type Replica struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	stopped bool
-	stop    chan struct{}
+	running bool          // Run has started; it closes exited on return
+	stop    chan struct{} // closed by Stop
+	exited  chan struct{} // closed when Run returns
 
 	applied    atomic.Uint64
 	gen        atomic.Uint64
@@ -83,7 +85,7 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
 		}
 	}
-	return &Replica{cfg: cfg, stop: make(chan struct{})}
+	return &Replica{cfg: cfg, stop: make(chan struct{}), exited: make(chan struct{})}
 }
 
 func (r *Replica) logf(format string, args ...any) {
@@ -115,7 +117,11 @@ func (r *Replica) LastErr() string {
 	return ""
 }
 
-// Stop ends the reconnect loop and closes any live connection.
+// Stop ends the reconnect loop, closes any live connection, and waits for
+// Run to return, so no Applier call is in flight or still to come once Stop
+// returns: a caller that reads the applier's position next (a promotion)
+// sees the session's last apply. Stop is idempotent and safe when Run was
+// never started; it must not be called from inside an Applier method.
 func (r *Replica) Stop() {
 	r.mu.Lock()
 	if !r.stopped {
@@ -125,7 +131,11 @@ func (r *Replica) Stop() {
 	if r.conn != nil {
 		r.conn.Close()
 	}
+	running := r.running
 	r.mu.Unlock()
+	if running {
+		<-r.exited
+	}
 }
 
 func (r *Replica) setConn(c net.Conn) bool {
@@ -142,8 +152,18 @@ func (r *Replica) setConn(c net.Conn) bool {
 }
 
 // Run connects, replicates, and reconnects with backoff until Stop. It
-// blocks; run it on its own goroutine.
+// blocks; run it on its own goroutine. A Replica runs at most once: Run
+// returns at once if it already ran or Stop came first.
 func (r *Replica) Run() {
+	r.mu.Lock()
+	if r.running || r.stopped {
+		r.mu.Unlock()
+		return
+	}
+	r.running = true
+	r.mu.Unlock()
+	defer close(r.exited)
+
 	bo := kvclient.NewBackoff(r.cfg.BackoffBase, r.cfg.BackoffMax, r.cfg.BackoffSeed)
 	first := true
 	for {
